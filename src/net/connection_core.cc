@@ -1,5 +1,6 @@
 #include "net/connection_core.h"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -221,6 +222,19 @@ void ConnectionCore::AccountClose() {
   if (served_during_drain_) Bump(&IngressCounters::drained_connections);
 }
 
+namespace {
+
+// True when the process can still open another descriptor: dup `fd` and
+// close the copy at once.
+bool DescriptorStillFree(int fd) {
+  int probe = ::fcntl(fd, F_DUPFD_CLOEXEC, 0);
+  if (probe < 0) return false;
+  ::close(probe);
+  return true;
+}
+
+}  // namespace
+
 AcceptGate::FailureAction AcceptGate::OnAcceptFailure(int err) {
   switch (err) {
     case EINTR:
@@ -235,8 +249,9 @@ AcceptGate::FailureAction AcceptGate::OnAcceptFailure(int err) {
     case ENFILE:
       // Fd exhaustion is an episode, not a fatal listener error: keep
       // the accept path alive, log/count once per *episode* — the latch
-      // re-arms on the next successful accept, so a later outage is
-      // reported again rather than silenced for the server's life.
+      // is re-armed by a successful accept that leaves a descriptor free,
+      // so a later outage is reported again rather than silenced for the
+      // server's life.
       if (!env_.fd_exhausted->exchange(true)) {
         env_.counters->accept_fd_exhaustion_episodes.fetch_add(1, kRelaxed);
         DYNAPROX_LOG(kError, env_.log_tag)
@@ -250,10 +265,15 @@ AcceptGate::FailureAction AcceptGate::OnAcceptFailure(int err) {
 }
 
 bool AcceptGate::Admit(int fd, IngressCounters* worker) {
-  // Accept works again: re-arm per-episode exhaustion reporting. The
-  // load screens out the common case so the hot path stays write-free;
-  // the exchange makes sure only one accepting thread logs the recovery.
-  if (env_.fd_exhausted->load(kRelaxed) &&
+  // Re-arm per-episode exhaustion reporting only if this accept left a
+  // descriptor free. An accept into the process's *last* free slot (a
+  // starved peer gave up, and its close freed exactly one fd) does not end
+  // the outage: the next accept fails with EMFILE again at once, since the
+  // kernel allocates the fd before it looks at the backlog. The load
+  // screens out the common case, so the hot path gains no syscall and
+  // stays write-free; the exchange makes sure only one accepting thread
+  // logs the recovery.
+  if (env_.fd_exhausted->load(kRelaxed) && DescriptorStillFree(fd) &&
       env_.fd_exhausted->exchange(false)) {
     DYNAPROX_LOG(kInfo, env_.log_tag) << "accept: fd exhaustion cleared";
   }

@@ -182,7 +182,7 @@ class AcceptGate {
     // cap.
     std::atomic<int64_t>* live = nullptr;
     // EMFILE/ENFILE episode latch: set once per sustained outage,
-    // re-armed by the next successful accept.
+    // re-armed by a successful accept that leaves a descriptor free.
     std::atomic<bool>* fd_exhausted = nullptr;
     const char* log_tag = "net";
   };
@@ -199,11 +199,12 @@ class AcceptGate {
   // Triage for a failed accept(); counts/logs fd-exhaustion episodes.
   FailureAction OnAcceptFailure(int err);
 
-  // Admission for a freshly accepted fd: evaluates the `net.accept`
-  // fault point (error drops the connection, delay-ms stalls the accept
-  // path), enforces the connection cap, sets TCP_NODELAY, and bumps the
-  // accept gauges (mirrored into `worker` when set). Returns false when
-  // the connection was rejected — the fd is already closed.
+  // Admission for a freshly accepted fd: ends an fd-exhaustion episode
+  // if a descriptor is still free after this accept, evaluates the
+  // `net.accept` fault point (error drops the connection, delay-ms stalls
+  // the accept path), enforces the connection cap, sets TCP_NODELAY, and
+  // bumps the accept gauges (mirrored into `worker` when set). Returns
+  // false when the connection was rejected — the fd is already closed.
   bool Admit(int fd, IngressCounters* worker);
 
   // Reverses Admit's gauges when a connection ends.

@@ -40,8 +40,8 @@ struct IngressCounters {
   std::atomic<uint64_t> drained_connections{0};  // Finished during drain.
   // Accept hit EMFILE/ENFILE. Counts *episodes* (entries into the
   // exhausted state), not failed accept() calls: during one sustained
-  // exhaustion the servers log once and count once, and both re-arm when
-  // an accept succeeds again.
+  // exhaustion the servers log once and count once, and both are re-armed
+  // by a successful accept that leaves a descriptor free.
   std::atomic<uint64_t> accept_fd_exhaustion_episodes{0};
 };
 

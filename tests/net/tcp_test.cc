@@ -179,8 +179,10 @@ TEST(TcpTest, FdExhaustionIsCountedPerEpisode) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     std::vector<int> dummies = FillFdTable();
     ASSERT_FALSE(dummies.empty());
-    // Free exactly one fd: the client's socket takes it, so the server's
-    // accept wakes with nothing left and fails with EMFILE.
+    // Free exactly one fd: the client's socket takes it. The server's
+    // blocking accept reserved its descriptor before it blocked, so the
+    // starved connection is accepted on that reserved fd; the *next*
+    // accept finds nothing left, fails with EMFILE and counts the episode.
     ::close(dummies.back());
     dummies.pop_back();
     {

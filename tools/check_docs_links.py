@@ -6,6 +6,9 @@ Checks, over README.md, DESIGN.md, ROADMAP.md, and docs/*.md:
 1. Every relative markdown link `[text](path)` resolves to a file or
    directory in the repo (anchors and external http/mailto links are
    skipped).
+
+And, over the operator docs only (README.md, DESIGN.md, docs/*.md):
+
 2. Every `--flag` a doc mentions exists in some tools/*.cc — i.e. is
    parsed via Flags::Get{Int,Double,Bool,String}("flag", ...) — so the
    operator docs can't drift from the binaries. Flags that belong to
@@ -15,6 +18,11 @@ Checks, over README.md, DESIGN.md, ROADMAP.md, and docs/*.md:
    `dynaprox_<component>_ingress_...`) are matched by progressively
    stripping leading segments until the literal tail is found. Mentions
    ending in `_` (prefix families like `dynaprox_edge_*`) are skipped.
+
+ROADMAP.md gets rule 1 only: it is a plan of work, so it names flags,
+metrics and tools that are still to be built (and quotes mistyped flags
+on purpose); requiring them to exist already would forbid proposing
+anything.
 
 Run from anywhere: paths are resolved relative to the repo root (the
 parent of this script's directory). Exits non-zero listing every
@@ -27,14 +35,16 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-DOC_FILES = sorted(
+# Operator docs: every rule applies.
+OPERATOR_DOCS = sorted(
     [
         *(REPO_ROOT / "docs").glob("*.md"),
         REPO_ROOT / "README.md",
         REPO_ROOT / "DESIGN.md",
-        REPO_ROOT / "ROADMAP.md",
     ]
 )
+# Planning docs: links must resolve, but names may be ones still to come.
+PLAN_DOCS = [REPO_ROOT / "ROADMAP.md"]
 
 # Flags that docs legitimately mention but that are not dynaprox tool
 # flags (build/test tooling examples in README etc.).
@@ -96,10 +106,8 @@ def metric_in_sources(name: str, corpus: str) -> bool:
     return False
 
 
-def check_file(doc: Path, tool_flags: set, corpus: str) -> list:
+def check_links(doc: Path, text: str) -> list:
     errors = []
-    text = doc.read_text()
-
     for match in LINK_RE.finditer(text):
         target = match.group(1)
         if target.startswith(("http://", "https://", "mailto:", "#")):
@@ -111,7 +119,11 @@ def check_file(doc: Path, tool_flags: set, corpus: str) -> list:
         if not resolved.exists():
             errors.append(f"{doc.relative_to(REPO_ROOT)}: broken link "
                           f"'{target}' -> {resolved}")
+    return errors
 
+
+def check_names(doc: Path, text: str, tool_flags: set, corpus: str) -> list:
+    errors = []
     for flag in sorted(set(FLAG_RE.findall(text))):
         if flag in tool_flags or flag in ALLOWED_FOREIGN_FLAGS:
             continue
@@ -138,13 +150,16 @@ def main() -> int:
     corpus = source_corpus()
     errors = []
     checked = 0
-    for doc in DOC_FILES:
+    for doc in sorted(OPERATOR_DOCS + PLAN_DOCS):
         if not doc.exists():
             errors.append(f"expected doc missing: "
                           f"{doc.relative_to(REPO_ROOT)}")
             continue
         checked += 1
-        errors.extend(check_file(doc, tool_flags, corpus))
+        text = doc.read_text()
+        errors.extend(check_links(doc, text))
+        if doc in OPERATOR_DOCS:
+            errors.extend(check_names(doc, text, tool_flags, corpus))
 
     if errors:
         for error in errors:
